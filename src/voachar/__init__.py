@@ -29,7 +29,7 @@ from .modealg import (
     mode_operator,
     simplicity_scan,
 )
-from .qseries import TruncSeries, euler_product, partition_power, series_add, series_mul
+from .qseries import TruncSeries, euler_product, partition_power
 from .rootsys import (
     CapExceededError,
     RootData,
@@ -45,6 +45,7 @@ from .weylchar import (
     alternating_sum,
     decompose,
     irr_character,
+    tensor_decompose,
     tensor_multiplicity,
     weyl_dim,
 )
@@ -77,8 +78,6 @@ __all__ = [
     "TruncSeries",
     "euler_product",
     "partition_power",
-    "series_add",
-    "series_mul",
     "CapExceededError",
     "RootData",
     "Weight",
@@ -91,6 +90,7 @@ __all__ = [
     "alternating_sum",
     "decompose",
     "irr_character",
+    "tensor_decompose",
     "tensor_multiplicity",
     "weyl_dim",
 ]

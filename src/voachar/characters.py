@@ -19,12 +19,10 @@ from .rootsys import (
     DEFAULT_WEYL_CAP,
     Weight,
     conformal_h_int,
-    dominance_leq,
     dominant_weights_up_to,
-    eps,
     zero_weight,
 )
-from .weylchar import LaurentPoly, decompose, is_weyl_invariant, tensor_decompose_pair
+from .weylchar import LaurentPoly, decompose, is_weyl_invariant, tensor_multiplicity
 
 
 class QLaurent:
@@ -117,33 +115,8 @@ def invariant_series_oracle(
 
 
 def _trivial_multiplicity(lams, n: int, cap: int) -> int:
-    """m^0 of a tuple of dominant weights, folding pairwise decompositions.
-
-    Partial results nu are pruned unless nu can still reach the trivial
-    weight, i.e. nu <= sum of the remaining highest weights in dominance.
-    """
-    lams = [lam for lam in lams if not lam.is_zero()]
-    if not lams:
-        return 1
-    if len(lams) == 1:
-        return 0
-    suffix_sums = [zero_weight(n)]
-    for lam in reversed(lams):
-        suffix_sums.append(suffix_sums[-1] + lam)
-    suffix_sums.reverse()  # suffix_sums[i] = sum of lams[i:]
-    state: dict[Weight, int] = {lams[0]: 1}
-    for i, lam in enumerate(lams[1:], start=1):
-        nxt: dict[Weight, int] = {}
-        remaining = suffix_sums[i + 1]
-        for nu, m in state.items():
-            for tau, k in tensor_decompose_pair(nu, lam, cap).items():
-                if not dominance_leq(tau, remaining):
-                    continue
-                nxt[tau] = nxt.get(tau, 0) + m * k
-        state = nxt
-        if not state:
-            return 0
-    return state.get(zero_weight(n), 0)
+    """m^0 of a tuple of dominant weights: the multiplicity of L(0)."""
+    return tensor_multiplicity(lams, zero_weight(n), cap)
 
 
 def _weight_multisets(weights, d: int, budget: int):

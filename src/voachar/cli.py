@@ -9,7 +9,9 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,15 +23,11 @@ def fmt_rat(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _series_payload(series: qseries.TruncSeries) -> dict:
-    return {"series": series.to_record()}
-
-
 def _poly_terms(poly: weylchar.LaurentPoly) -> list[dict]:
-    out = []
-    for e, c in sorted(poly.terms.items()):
-        out.append({"exponent": rootsys.format_weight(rootsys.Weight(e)), "coeff": str(c)})
-    return out
+    return [
+        {"exponent": rootsys.format_weight(rootsys.Weight(e)), "coeff": str(c)}
+        for e, c in sorted(poly.terms.items())
+    ]
 
 
 class _Report:
@@ -49,61 +47,71 @@ class _Report:
             json.dump(self.payload, stream, indent=2, sort_keys=True)
             stream.write("\n")
         elif fmt == "csv":
-            stream.write(",".join(self.csv_header) + "\n")
-            for row in self.csv_rows:
-                stream.write(",".join(row) + "\n")
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(self.csv_header)
+            writer.writerows(self.csv_rows)
         else:
             for line in self.lines:
                 stream.write(line + "\n")
 
 
-def _series_report(rep: _Report, label: str, series: qseries.TruncSeries) -> None:
-    rep.text(f"{label}: " + ",".join(str(c) for c in series.coeffs))
-    rep.csv_header = ["power", "coefficient"]
-    rep.csv_rows = [[str(k), str(c)] for k, c in enumerate(series.coeffs)]
+def _coeffs_line(label: str, series: qseries.TruncSeries) -> str:
+    return f"{label}: " + ",".join(str(c) for c in series.coeffs)
+
+
+def _series_table(rep: _Report, header: list[str], columns: list[qseries.TruncSeries]) -> None:
+    """CSV of coefficients by power, one column per series."""
+    rep.csv_header = ["power", *header]
+    rep.csv_rows = [
+        [str(k)] + [str(s.coeffs[k]) for s in columns] for k in range(columns[0].trunc + 1)
+    ]
+
+
+def _compare_report(results: dict[str, qseries.TruncSeries]) -> tuple[int, _Report]:
+    """Series that must agree: a text line and a JSON record per series,
+    ``equal``, and on a mismatch the differing powers (exit 1).  The CSV
+    table holds the first series."""
+    rep = _Report()
+    rep.lines = [_coeffs_line(label, s) for label, s in results.items()]
+    first = next(iter(results.values()))
+    diff = [
+        k for k in range(first.trunc + 1) if len({s.coeffs[k] for s in results.values()}) > 1
+    ]
+    equal = not diff
+    rep.text(f"equal: {str(equal).lower()}")
+    rep.payload = {label: s.to_record() for label, s in results.items()}
+    rep.payload["equal"] = equal
+    if diff:
+        rep.payload["diff_powers"] = diff
+        rep.text("diff at powers: " + ",".join(map(str, diff)))
+    _series_table(rep, ["coefficient"], [first])
+    return (0 if equal else 1), rep
 
 
 def _cmd_branching(args) -> tuple[int, _Report]:
     lam = rootsys.parse_weight(args.lam)
-    prod = branching.branching_product(lam, args.n, args.trunc)
-    wsum = branching.branching_weylsum(lam, args.n, args.trunc, args.weyl_cap)
-    equal = prod == wsum
-    rep = _Report()
-    _series_report(rep, "product", prod)
-    rep.text("weylsum: " + ",".join(str(c) for c in wsum.coeffs))
-    rep.text(f"equal: {str(equal).lower()}")
-    rep.payload = {
-        "product": prod.to_record(),
-        "weylsum": wsum.to_record(),
-        "equal": equal,
-    }
-    if not equal:
-        diff = [k for k in range(prod.trunc + 1) if prod.coeffs[k] != wsum.coeffs[k]]
-        rep.payload["diff_powers"] = diff
-        rep.text("diff at powers: " + ",".join(map(str, diff)))
-    return (0 if equal else 1), rep
+    return _compare_report(
+        {
+            "product": branching.branching_product(lam, args.n, args.trunc),
+            "weylsum": branching.branching_weylsum(lam, args.n, args.trunc, args.weyl_cap),
+        }
+    )
 
 
 def _cmd_tensor(args) -> tuple[int, _Report]:
     lams = [rootsys.parse_weight(t) for t in args.weights.split(";") if t.strip()]
-    if not lams:
-        raise ValueError("no weights given")
-    state: dict[rootsys.Weight, int] = {lams[0]: 1}
-    for lam in lams[1:]:
-        nxt: dict[rootsys.Weight, int] = {}
-        for nu, m in state.items():
-            for tau, k in weylchar.tensor_decompose_pair(nu, lam, args.weyl_cap).items():
-                nxt[tau] = nxt.get(tau, 0) + m * k
-        state = nxt
-    rows = sorted(state.items(), key=lambda kv: (rootsys.conformal_h(kv[0]), kv[0].coords2))
+    for lam in lams:
+        if lam.n != args.n:
+            raise ValueError(
+                f"weight {rootsys.format_weight(lam)} has rank {lam.n}, but --n is {args.n}"
+            )
+    state = weylchar.tensor_decompose(lams, args.weyl_cap)
     rep = _Report()
     rep.csv_header = ["mu", "multiplicity"]
-    mults = []
-    for mu, m in rows:
-        rep.text(f"{rootsys.format_weight(mu)}: {m}")
-        rep.csv_rows.append([rootsys.format_weight(mu), str(m)])
-        mults.append({"mu": rootsys.format_weight(mu), "m": str(m)})
-    rep.payload = {"multiplicities": mults}
+    for mu in sorted(state, key=lambda w: (rootsys.conformal_h(w), w.coords2)):
+        rep.csv_rows.append([rootsys.format_weight(mu), str(state[mu])])
+    rep.lines = [f"{mu}: {m}" for mu, m in rep.csv_rows]
+    rep.payload = {"multiplicities": [{"mu": mu, "m": m} for mu, m in rep.csv_rows]}
     return 0, rep
 
 
@@ -120,55 +128,36 @@ def _char_by_method(method: str, args) -> qseries.TruncSeries:
 
 
 def _cmd_char(args) -> tuple[int, _Report]:
-    rep = _Report()
     if args.method != "all":
         series = _char_by_method(args.method, args)
-        _series_report(rep, args.method, series)
-        rep.payload = _series_payload(series)
+        rep = _Report()
+        rep.text(_coeffs_line(args.method, series))
+        rep.payload = {"series": series.to_record()}
+        _series_table(rep, ["coefficient"], [series])
         return 0, rep
     results = {m: _char_by_method(m, args) for m in ("theorem2", "oracle", "fock")}
-    base = results["theorem2"]
-    equal = all(results[m] == base for m in results)
-    for m in ("theorem2", "oracle", "fock"):
-        rep.text(f"{m}: " + ",".join(str(c) for c in results[m].coeffs))
-    rep.text(f"equal: {str(equal).lower()}")
-    rep.csv_header = ["power"] + list(results)
-    rep.csv_rows = [
-        [str(k)] + [str(results[m].coeffs[k]) for m in results]
-        for k in range(args.trunc + 1)
-    ]
-    rep.payload = {m: results[m].to_record() for m in results}
-    rep.payload["equal"] = equal
-    if not equal:
-        diff = [
-            k
-            for k in range(args.trunc + 1)
-            if len({results[m].coeffs[k] for m in results}) > 1
-        ]
-        rep.payload["diff_powers"] = diff
-        rep.text("diff at powers: " + ",".join(map(str, diff)))
-    return (0 if equal else 1), rep
+    code, rep = _compare_report(results)
+    _series_table(rep, list(results), list(results.values()))
+    return code, rep
 
 
 def _cmd_denom_check(args) -> tuple[int, _Report]:
     lhs, rhs = branching.denominator_identity_check(args.n, args.weyl_cap)
     rep = _Report()
     rep.text(f"terms: {len(lhs.terms)}")
-    for side, poly in (("lhs", lhs), ("rhs", rhs)):
-        for item in _poly_terms(poly):
-            rep.text(f"{side} {item['coeff']} * e^({item['exponent']})")
-    rep.text("equal: true")
     rep.payload = {"lhs": _poly_terms(lhs), "rhs": _poly_terms(rhs), "equal": True}
     rep.csv_header = ["side", "exponent", "coeff"]
-    for side, poly in (("lhs", lhs), ("rhs", rhs)):
-        for item in _poly_terms(poly):
+    for side in ("lhs", "rhs"):
+        for item in rep.payload[side]:
+            rep.text(f"{side} {item['coeff']} * e^({item['exponent']})")
             rep.csv_rows.append([side, item["exponent"], item["coeff"]])
+    rep.text("equal: true")
     return 0, rep
 
 
 def _parse_matrix(text: str) -> modealg.SymMatrix:
     entries = [Fraction(t.strip()) for t in text.split(",")]
-    d = round(len(entries) ** 0.5)
+    d = math.isqrt(len(entries))
     if d * d != len(entries):
         raise ValueError("matrix entries must form a square (row-major)")
     return modealg.sym_matrix([entries[i * d : (i + 1) * d] for i in range(d)])
@@ -187,16 +176,12 @@ def _cmd_griess(args) -> tuple[int, _Report]:
     j = modealg.jordan_product(x, y)
     equal = g == j
     rep = _Report()
-    rep.text("griess: " + "; ".join(_matrix_rows(g)))
-    rep.text("jordan: " + "; ".join(_matrix_rows(j)))
-    rep.text(f"equal: {str(equal).lower()}")
-    rep.payload = {
-        "griess": _matrix_rows(g),
-        "jordan": _matrix_rows(j),
-        "equal": equal,
-    }
+    rep.payload = {"griess": _matrix_rows(g), "jordan": _matrix_rows(j), "equal": equal}
     rep.csv_header = ["product", "rows"]
-    rep.csv_rows = [["griess", ";".join(_matrix_rows(g))], ["jordan", ";".join(_matrix_rows(j))]]
+    for name in ("griess", "jordan"):
+        rep.text(f"{name}: " + "; ".join(rep.payload[name]))
+        rep.csv_rows.append([name, ";".join(rep.payload[name])])
+    rep.text(f"equal: {str(equal).lower()}")
     return (0 if equal else 1), rep
 
 
@@ -205,19 +190,15 @@ def _cmd_bracket(args) -> tuple[int, _Report]:
     y = modealg.parse_genkey(args.y)
     out = modealg.bracket(x, y, Fraction(args.r))
     rep = _Report()
+    rep.csv_header = ["generator", "coeff"]
     terms = sorted(out.terms.items())
-    for key, c in terms:
-        rep.text(f"{fmt_rat(c)} * {modealg.format_genkey(key)}")
-    rep.text(f"central: {fmt_rat(out.central)}")
+    rep.csv_rows = [[modealg.format_genkey(k), fmt_rat(c)] for k, c in terms]
+    rep.lines = [f"{c} * {key}" for key, c in rep.csv_rows]
     rep.payload = {
-        "terms": [
-            {"generator": modealg.format_genkey(k), "coeff": fmt_rat(c)}
-            for k, c in terms
-        ],
+        "terms": [{"generator": key, "coeff": c} for key, c in rep.csv_rows],
         "central": fmt_rat(out.central),
     }
-    rep.csv_header = ["generator", "coeff"]
-    rep.csv_rows = [[modealg.format_genkey(k), fmt_rat(c)] for k, c in terms]
+    rep.text(f"central: {fmt_rat(out.central)}")
     rep.csv_rows.append(["central", fmt_rat(out.central)])
     return 0, rep
 
@@ -235,42 +216,21 @@ def _cmd_simplicity(args) -> tuple[int, _Report]:
 
 
 def _cmd_fock_invariants(args) -> tuple[int, _Report]:
-    dims = [
-        fock.invariant_subspace(args.n, args.d, lvl, args.basis_cap)[0]
-        for lvl in range(args.maxlevel + 1)
-    ]
-    fock_series = qseries.TruncSeries(args.maxlevel, dims)
-    oracle = characters.theorem2_character(args.n, args.d, args.maxlevel, args.weyl_cap)
-    equal = fock_series == oracle
-    rep = _Report()
-    _series_report(rep, "fock", fock_series)
-    rep.text("theorem2: " + ",".join(str(c) for c in oracle.coeffs))
-    rep.text(f"equal: {str(equal).lower()}")
-    rep.payload = {
-        "fock": fock_series.to_record(),
-        "theorem2": oracle.to_record(),
-        "equal": equal,
-    }
-    return (0 if equal else 1), rep
+    return _compare_report({m: _char_by_method(m, args) for m in ("fock", "theorem2")})
 
 
 def _cmd_virasoro(args) -> tuple[int, _Report]:
     c_value, grading_ok = fock.virasoro_check(args.n, args.d, cap=args.basis_cap)
     rep = _Report()
-    rep.text(f"central_charge: {fmt_rat(c_value)}")
-    rep.text(f"expected: {-2 * args.d * args.n}")
-    rep.text(f"grading_ok: {str(grading_ok).lower()}")
-    rep.payload = {
-        "central_charge": fmt_rat(c_value),
-        "expected": str(-2 * args.d * args.n),
-        "grading_ok": grading_ok,
-    }
     rep.csv_header = ["field", "value"]
     rep.csv_rows = [
         ["central_charge", fmt_rat(c_value)],
         ["expected", str(-2 * args.d * args.n)],
         ["grading_ok", str(grading_ok).lower()],
     ]
+    rep.lines = [f"{field}: {value}" for field, value in rep.csv_rows]
+    rep.payload = dict(rep.csv_rows)
+    rep.payload["grading_ok"] = grading_ok
     return 0, rep
 
 
@@ -290,6 +250,23 @@ def _cmd_generation(args) -> tuple[int, _Report]:
     return (0 if ok else 1), rep
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; argparse names the option."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # non-integers still read "invalid int value"
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voachar",
@@ -306,22 +283,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--basis-cap", type=int, default=fock.DEFAULT_BASIS_CAP)
 
     p = sub.add_parser("branching", help="branching function by both formulas")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--lam", required=True, help='weight, e.g. "0,1"')
-    p.add_argument("--trunc", type=int, required=True)
+    p.add_argument("--trunc", type=_non_negative, required=True)
     common(p, weyl=True)
     p.set_defaults(func=_cmd_branching)
 
     p = sub.add_parser("tensor", help="tensor-product multiplicity table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--weights", required=True, help='semicolon-separated, e.g. "1;1"')
     common(p, weyl=True)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("char", help="invariant-subalgebra graded character")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
+    p.add_argument("--trunc", type=_non_negative, required=True)
     p.add_argument(
         "--method", choices=("theorem2", "oracle", "fock", "all"), default="theorem2"
     )
@@ -329,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("denom-check", help="so(2n+1) denominator identity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     common(p, weyl=True)
     p.set_defaults(func=_cmd_denom_check)
 
@@ -349,28 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicity", help="scan the irreducibility criterion")
     p.add_argument("--r", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--d", type=_positive, required=True)
+    p.add_argument("--N", type=_positive, required=True)
     common(p)
     p.set_defaults(func=_cmd_simplicity)
 
     p = sub.add_parser("fock-invariants", help="invariant dimensions by level")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--maxlevel", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
+    # dest "trunc": the Fock and theorem routes of ``char`` run to this level
+    p.add_argument("--maxlevel", dest="trunc", type=_non_negative, required=True)
     common(p, weyl=True, basis=True)
     p.set_defaults(func=_cmd_fock_invariants)
 
     p = sub.add_parser("virasoro", help="central charge and grading check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
     common(p, basis=True)
     p.set_defaults(func=_cmd_virasoro)
 
     p = sub.add_parser("generation", help="degree-2 generation check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--maxlevel", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
+    p.add_argument("--maxlevel", type=_non_negative, required=True)
     common(p, basis=True)
     p.set_defaults(func=_cmd_generation)
 
@@ -382,10 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, rep = args.func(args)
-    except rootsys.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # CapExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep.emit(args.format, sys.stdout)

@@ -171,8 +171,11 @@ def sp_action(action: dict[int, list[tuple[int, int]]], v: FockVector) -> FockVe
     return out
 
 
-def _null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of an exact rational matrix via reduced row echelon."""
+def _row_reduce(
+    rows: list[list[Fraction]], ncols: int
+) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination of an exact rational matrix: the pivot
+    columns and the nonzero rows of the reduced row echelon form."""
     m = [row[:] for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
@@ -195,6 +198,12 @@ def _null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         r += 1
         if r == len(m):
             break
+    return pivots, m[:r]
+
+
+def _null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of an exact rational matrix, read off its reduced rows."""
+    pivots, m = _row_reduce(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -326,25 +335,8 @@ def _rank_and_reduce(
         for m, c in v.items():
             row[index[m]] = c
         rows.append(row)
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = row[:]
-        for pcol, prow in zip(pivots, reduced):
-            if row[pcol]:
-                f = row[pcol]
-                row = [x - f * y for x, y in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        pv = row[lead]
-        row = [x / pv for x in row]
-        reduced.append(row)
-        pivots.append(lead)
-    basis = []
-    for row in reduced:
-        vec = {monos[i]: x for i, x in enumerate(row) if x}
-        basis.append(vec)
+    _, reduced = _row_reduce(rows, len(monos))
+    basis = [{monos[i]: x for i, x in enumerate(row) if x} for row in reduced]
     return len(reduced), basis
 
 

@@ -103,14 +103,6 @@ class TruncSeries:
         return cls(int(rec["trunc"]), [int(c) for c in rec["coeffs"]])
 
 
-def series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a + b
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
 def _binomial_factor(j: int, e: int, trunc: int) -> TruncSeries:
     # (1 - q^j)^e expanded to order trunc; e may be negative.
     out = TruncSeries(trunc)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 DEFAULT_WEYL_CAP = 100_000
@@ -188,24 +189,26 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def weyl_elements(n: int, cap: int = DEFAULT_WEYL_CAP) -> list[SignedPerm]:
-    """All signed permutations of n letters with parity (-1)^{l(w)}."""
-    size = (2**n) * _factorial(n)
+def check_weyl_cap(n: int, cap: int) -> None:
+    """Raise unless the Weyl group of rank n (order 2^n n!) fits in ``cap``.
+
+    Callers that memoize run this before their cache lookup, so a cap holds
+    whatever ran earlier.
+    """
+    size = (2**n) * factorial(n)
     if size > cap:
         raise CapExceededError("weyl", size, cap)
+
+
+def weyl_elements(n: int, cap: int = DEFAULT_WEYL_CAP) -> list[SignedPerm]:
+    """All signed permutations of n letters with parity (-1)^{l(w)}."""
+    check_weyl_cap(n, cap)
     out = []
     for p in itertools.permutations(range(n)):
         ps = _perm_sign(p)
         for signs in itertools.product((1, -1), repeat=n):
             flips = sum(1 for s in signs if s < 0)
             out.append(SignedPerm(p, signs, ps * (-1) ** flips))
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

@@ -14,9 +14,12 @@ from .rootsys import (
     Weight,
     apply_weyl,
     build_root_data,
+    check_weyl_cap,
     conformal_h,
+    dominance_leq,
     inner,
     weyl_elements,
+    zero_weight,
 )
 
 
@@ -181,6 +184,7 @@ def irr_character(lam: Weight, cap: int = DEFAULT_WEYL_CAP) -> LaurentPoly:
     """ch L(lam) = alt(lam + rho0) / alt(rho0), exact."""
     if not lam.is_dominant():
         raise ValueError(f"weight {lam.coords2} is not dominant")
+    check_weyl_cap(lam.n, cap)
     key = lam.coords2
     hit = _irr_cache.get(key)
     if hit is not None:
@@ -261,6 +265,7 @@ def tensor_decompose_pair(
     lam: Weight, mu: Weight, cap: int = DEFAULT_WEYL_CAP
 ) -> dict[Weight, int]:
     """Decomposition of L(lam) (x) L(mu), memoized on the sorted pair."""
+    check_weyl_cap(lam.n, cap)
     a, b = sorted((lam.coords2, mu.coords2), key=lambda e: (_exponent_h(e), e))
     key = (a, b)
     hit = _pair_cache.get(key)
@@ -272,18 +277,39 @@ def tensor_decompose_pair(
     return res
 
 
+def tensor_decompose(
+    lams, cap: int = DEFAULT_WEYL_CAP, target: Weight | None = None
+) -> dict[Weight, int]:
+    """Decomposition of L(lam_1) (x) ... (x) L(lam_d), folding pairwise.
+
+    With a ``target`` mu, only the part that can still contain L(mu) is
+    kept: a partial result tau is dropped unless tau <= mu + (sum of the
+    remaining lams) in dominance.  Since sp(2n) modules are self-dual, L(mu)
+    lies in L(tau) (x) L(rest) only if L(tau) lies in L(mu) (x) L(rest),
+    whose highest weights are all <= mu + (sum of rest).
+    """
+    lams = list(lams)
+    if not lams:
+        if target is None:
+            raise ValueError("no weights given")
+        return {zero_weight(target.n): 1}
+    bounds = [target] * len(lams)  # bounds[i]: target + sum of lams[i+1:]
+    if target is not None:
+        for i in range(len(lams) - 2, -1, -1):
+            bounds[i] = bounds[i + 1] + lams[i + 1]
+    state: dict[Weight, int] = {lams[0]: 1}
+    for lam, bound in zip(lams[1:], bounds[1:]):
+        nxt: dict[Weight, int] = {}
+        for nu, m in state.items():
+            for tau, k in tensor_decompose_pair(nu, lam, cap).items():
+                if bound is None or dominance_leq(tau, bound):
+                    nxt[tau] = nxt.get(tau, 0) + m * k
+        state = nxt
+    return state
+
+
 def tensor_multiplicity(
     lams, mu: Weight, cap: int = DEFAULT_WEYL_CAP
 ) -> int:
     """Multiplicity of L(mu) inside L(lam_1) (x) ... (x) L(lam_d)."""
-    lams = list(lams)
-    if not lams:
-        return 1 if mu.is_zero() else 0
-    state: dict[Weight, int] = {lams[0]: 1}
-    for lam in lams[1:]:
-        nxt: dict[Weight, int] = {}
-        for nu, m in state.items():
-            for tau, k in tensor_decompose_pair(nu, lam, cap).items():
-                nxt[tau] = nxt.get(tau, 0) + m * k
-        state = nxt
-    return state.get(mu, 0)
+    return tensor_decompose(lams, cap, target=mu).get(mu, 0)

@@ -155,3 +155,36 @@ def test_csv_series(capsys):
     assert lines[0] == "power,coefficient"
     assert lines[1] == "0,1"
     assert lines[3] == "2,3"
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        ("simplicity --r 2 --d 0 --N 2", "--d"),
+        ("simplicity --r 2 --d 1 --N 0", "--N"),
+        ("char --n 1 --d 0 --trunc 2 --method fock", "--d"),
+        ("char --n 1 --d 1 --trunc -1", "--trunc"),
+        ("virasoro --n 0 --d 1", "--n"),
+        ("generation --n 1 --d 1 --maxlevel -1", "--maxlevel"),
+        ("fock-invariants --n 1 --d 1 --maxlevel -1", "--maxlevel"),
+        ("branching --n 1 --lam 0 --trunc x", "--trunc"),
+    ],
+)
+def test_out_of_range_ints_exit_2_naming_option(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_tensor_rejects_weights_of_wrong_rank(capsys):
+    code, out, err = run_cli(capsys, "tensor", "--n", "3", "--weights", "0,1;0,1")
+    assert code == 2
+    assert out == ""
+    assert "--n is 3" in err
+
+
+def test_matrix_must_be_square(capsys):
+    code, _, err = run_cli(capsys, "griess", "--r", "1", "--x", "1,0,0", "--y", "1,0,0")
+    assert code == 2
+    assert "square" in err

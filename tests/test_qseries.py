@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from voachar.qseries import TruncSeries, euler_product, partition_power, series_add, series_mul
+from voachar.qseries import TruncSeries, euler_product, partition_power
 
 
 def brute_partitions(k, min_part=1):
@@ -18,31 +18,31 @@ def brute_partitions(k, min_part=1):
 def test_series_add_examples():
     one_plus_q = TruncSeries(1, [1, 1])
     one_minus_q = TruncSeries(1, [1, -1])
-    assert series_add(one_plus_q, one_minus_q) == TruncSeries(1, [2, 0])
+    assert one_plus_q + one_minus_q == TruncSeries(1, [2, 0])
 
     p5 = partition_power(1, 5)
-    assert series_add(p5, TruncSeries.zero(5)) == p5
+    assert p5 + TruncSeries.zero(5) == p5
 
 
 def test_series_add_coefficientwise():
     a = TruncSeries(2, [1, 0, 1])
     b = TruncSeries(2, [0, 1, 1])
-    assert series_add(a, b) == TruncSeries(2, [1, 1, 2])
+    assert a + b == TruncSeries(2, [1, 1, 2])
 
 
 def test_series_mul_examples():
     one_plus_q = TruncSeries(2, [1, 1, 0])
     one_minus_q = TruncSeries(2, [1, -1, 0])
-    assert series_mul(one_plus_q, one_minus_q) == TruncSeries(2, [1, 0, -1])
+    assert one_plus_q * one_minus_q == TruncSeries(2, [1, 0, -1])
 
     # P(q)(1-q) counts partitions with all parts >= 2
     p6 = partition_power(1, 6)
-    got = series_mul(p6, TruncSeries(6, [1, -1, 0, 0, 0, 0, 0]))
+    got = p6 * TruncSeries(6, [1, -1, 0, 0, 0, 0, 0])
     expected = [brute_partitions(k, 2) for k in range(7)]
     assert got.coeffs == expected == [1, 0, 1, 1, 2, 2, 4]
 
     anything = TruncSeries(4, [3, -1, 0, 7, 2])
-    assert series_mul(anything, TruncSeries.one(4)) == anything
+    assert anything * TruncSeries.one(4) == anything
 
 
 def test_min_trunc_rule():

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from voachar.rootsys import (
+    CapExceededError,
     build_root_data,
+    conformal_h_int,
     dominant_weights_up_to,
     weight,
     zero_weight,
@@ -16,6 +19,7 @@ from voachar.weylchar import (
     divide_exact,
     irr_character,
     is_weyl_invariant,
+    tensor_decompose,
     tensor_decompose_pair,
     tensor_multiplicity,
     weyl_dim,
@@ -109,6 +113,33 @@ def test_tensor_multiplicity_examples():
     assert tensor_multiplicity([weight(1), weight(1)], weight(0)) == 1
     assert tensor_multiplicity([weight(3)], weight(3)) == 1
     assert tensor_multiplicity([weight(1), weight(1), weight(1)], weight(0)) == 0
+
+
+def test_target_pruning_matches_full_table():
+    # Every pair and triple of nonzero weights with total h <= 8, n <= 3:
+    # the pruned fold towards mu keeps the full table's multiplicity of mu.
+    checks = 0
+    for n in (1, 2, 3):
+        pool = [lam for lam in dominant_weights_up_to(n, 8) if not lam.is_zero()]
+        for k in (2, 3):
+            for lams in itertools.combinations_with_replacement(pool, k):
+                if sum(conformal_h_int(lam) for lam in lams) > 8:
+                    continue
+                for mu, m in tensor_decompose(lams).items():
+                    assert tensor_multiplicity(lams, mu) == m
+                    checks += 1
+    assert checks == 504
+
+
+def test_caps_hold_after_cache_hit():
+    lam = weight(0, 1)
+    for call in (
+        lambda cap: irr_character(lam, cap),
+        lambda cap: tensor_decompose_pair(lam, lam, cap),
+    ):
+        call(1000)  # warm the cache
+        with pytest.raises(CapExceededError):
+            call(5)
 
 
 def test_specialization_equals_dim():
